@@ -260,6 +260,12 @@ struct Store {
 }
 
 impl Store {
+    /// The slot cached for `(scenario, algorithm)` under its digest `hash`,
+    /// found by allocation-free comparison.
+    fn slot(&self, hash: u64, scenario: &Scenario, algorithm: Algorithm) -> Option<&Slot> {
+        self.buckets.get(&hash)?.iter().find(|slot| slot.fingerprint.matches(scenario, algorithm))
+    }
+
     /// Links a fresh recency node for the slot being inserted under `hash`.
     fn lru_insert(&mut self, hash: u64) -> usize {
         let id = self.lru.push_front();
@@ -420,13 +426,8 @@ impl SolutionCache {
         let hash = ScenarioFingerprint::stable_hash_of(scenario, algorithm);
         let entry = {
             let mut store = self.store.lock().expect("cache store poisoned");
-            let hit = store
-                .buckets
-                .get(&hash)
-                .and_then(|bucket| {
-                    bucket.iter().find(|slot| slot.fingerprint.matches(scenario, algorithm))
-                })
-                .map(|slot| (slot.lru_id, slot.entry.clone()));
+            let hit =
+                store.slot(hash, scenario, algorithm).map(|slot| (slot.lru_id, slot.entry.clone()));
             match hit {
                 Some((lru_id, entry)) => {
                     store.lru.touch(lru_id);
@@ -458,6 +459,26 @@ impl SolutionCache {
         // Outside the store lock: other fingerprints stay unblocked while
         // the (possibly expensive) DP runs.
         entry.get_or_init(|| Arc::new(solve())).clone()
+    }
+
+    /// Returns the cached solution for `(scenario, algorithm)` only when its
+    /// solve has already **finished**; never solves and never blocks.
+    ///
+    /// A finished entry counts exactly one hit and is touched in the recency
+    /// list, like the hit arm of [`Self::solve_with`].  An absent entry, or
+    /// one whose solve is still in flight, returns `None` and counts nothing
+    /// — the caller is expected to follow up with [`Self::solve_with`],
+    /// which then counts that request's hit or miss.  Same store lock, same
+    /// allocation-free lookup as the hit path of [`Self::solve_with`].
+    pub fn cached(&self, scenario: &Scenario, algorithm: Algorithm) -> Option<Arc<Solution>> {
+        let hash = ScenarioFingerprint::stable_hash_of(scenario, algorithm);
+        let mut store = self.store.lock().expect("cache store poisoned");
+        let (lru_id, solution) = store
+            .slot(hash, scenario, algorithm)
+            .and_then(|slot| Some((slot.lru_id, slot.entry.get()?.clone())))?;
+        store.lru.touch(lru_id);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(solution)
     }
 
     /// Solves every request and returns the solutions **in request order**,
@@ -741,6 +762,67 @@ mod tests {
         cache.solve(&b, Algorithm::TwoLevel);
         assert_eq!(cache.stats().misses, 4, "b must have been evicted and re-solved");
         assert_eq!(cache.stats().evictions, 2, "re-inserting b evicts again");
+    }
+
+    #[test]
+    fn cached_returns_only_finished_entries_and_counts_one_hit() {
+        let cache = SolutionCache::new();
+        let s = hera_uniform(7);
+        assert!(cache.cached(&s, Algorithm::TwoLevel).is_none());
+        assert_eq!(cache.stats(), CacheStats::default(), "an absent entry counts nothing");
+        let solved = cache.solve(&s, Algorithm::TwoLevel);
+        let hit = cache.cached(&s, Algorithm::TwoLevel).expect("finished entry");
+        assert!(Arc::ptr_eq(&solved, &hit), "a hit returns the cached allocation");
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1), "{stats:?}");
+        // Another algorithm on the same scenario is a different fingerprint.
+        assert!(cache.cached(&s, Algorithm::SingleLevel).is_none());
+        assert_eq!(cache.stats().hits, 1);
+    }
+
+    #[test]
+    fn cached_skips_an_entry_whose_solve_is_in_flight() {
+        let cache = SolutionCache::new();
+        let s = hera_uniform(6);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (shared, scenario) = (&cache, &s);
+        std::thread::scope(|scope| {
+            let solver = scope.spawn(move || {
+                shared.solve_with(scenario, Algorithm::TwoLevel, || {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    optimize(scenario, Algorithm::TwoLevel)
+                })
+            });
+            started_rx.recv().unwrap();
+            assert!(cache.cached(&s, Algorithm::TwoLevel).is_none(), "must not block");
+            assert_eq!((cache.stats().hits, cache.stats().misses), (0, 1));
+            release_tx.send(()).unwrap();
+            let solved = solver.join().unwrap();
+            let hit = cache.cached(&s, Algorithm::TwoLevel).expect("now finished");
+            assert!(Arc::ptr_eq(&solved, &hit));
+        });
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+    }
+
+    #[test]
+    fn cached_hits_keep_the_same_eviction_order_as_solve_hits() {
+        let cache =
+            SolutionCache::with_limits(CacheLimits { max_entries: Some(2), max_bytes: None });
+        let (a, b, c) = (hera_uniform(4), hera_uniform(5), hera_uniform(6));
+        cache.solve(&a, Algorithm::TwoLevel);
+        cache.solve(&b, Algorithm::TwoLevel);
+        // Touch `a` through `cached` (where `entry_cap_evicts_…` uses
+        // `solve`): `b` becomes the least recently used…
+        assert!(cache.cached(&a, Algorithm::TwoLevel).is_some());
+        // …and inserting `c` evicts `b`, not `a`.
+        cache.solve(&c, Algorithm::TwoLevel);
+        assert!(cache.cached(&a, Algorithm::TwoLevel).is_some(), "a must still be cached");
+        assert!(cache.cached(&b, Algorithm::TwoLevel).is_none(), "b must have been evicted");
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (2, 1), "{stats:?}");
+        assert_eq!((stats.hits, stats.misses), (2, 3), "{stats:?}");
     }
 
     #[test]

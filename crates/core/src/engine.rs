@@ -478,6 +478,16 @@ impl Engine {
         self.cache.solve_with(scenario, algorithm, || self.route(scenario, algorithm))
     }
 
+    /// The already-finished solution for `(scenario, algorithm)`, if any,
+    /// counted as one cache hit; `None` (counting nothing) when the entry is
+    /// absent or its solve is still in flight.  Never solves, never blocks,
+    /// never allocates — what a caller that must not stall (an event loop)
+    /// tries before handing the request to [`Self::solve`] on another
+    /// thread.  See [`SolutionCache::cached`].
+    pub fn cached(&self, scenario: &Scenario, algorithm: Algorithm) -> Option<Arc<Solution>> {
+        self.cache.cached(scenario, algorithm)
+    }
+
     /// Solves every request and returns the solutions **in request order**,
     /// running the misses concurrently on the work-stealing pool.
     pub fn solve_batch(&self, requests: &[SolveRequest]) -> Vec<Arc<Solution>> {
@@ -855,6 +865,24 @@ mod tests {
         assert_eq!(stats.cache.hits, 1, "{stats:?}");
         assert_eq!(stats.cache.misses, stats.routed(), "{stats:?}");
         assert_eq!(engine.context_count(), 1);
+    }
+
+    #[test]
+    fn cached_serves_finished_solves_without_routing() {
+        let engine = Engine::new();
+        let s = weak_scaling(12, 500.0);
+        let fresh = engine.stats();
+        assert!(engine.cached(&s, Algorithm::TwoLevel).is_none());
+        assert_eq!(engine.stats(), fresh, "a lookup miss counts nothing");
+        let solved = engine.solve(&s, Algorithm::TwoLevel);
+        let hit = engine.cached(&s, Algorithm::TwoLevel).expect("finished solve");
+        assert!(Arc::ptr_eq(&solved, &hit));
+        // A prefix of the retained tables is a reuse route for `solve`, but
+        // `cached` only ever answers from the solution cache.
+        assert!(engine.cached(&weak_scaling(8, 500.0), Algorithm::TwoLevel).is_none());
+        let stats = engine.stats();
+        assert_eq!((stats.cache.hits, stats.cache.misses), (1, 1), "{stats:?}");
+        assert_eq!((stats.cold(), stats.reused), (1, 0), "{stats:?}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Counting-allocator proof of the allocation-free warm path: a repeat
-//! [`Engine::solve`] of an already-cached scenario must perform **zero**
-//! heap allocations.
+//! [`Engine::solve`] of an already-cached scenario, and an
+//! [`Engine::cached`] lookup that finds it, must perform **zero** heap
+//! allocations.
 //!
 //! The warm path is: stream the process-stable fingerprint digest straight
 //! off the scenario (no fingerprint materialised), find the cache slot by
@@ -69,7 +70,23 @@ fn warm_engine_repeat_solve_performs_zero_heap_allocations() {
         assert_eq!(warm.expected_makespan.to_bits(), cold.expected_makespan.to_bits());
         assert_eq!(warm.schedule, cold.schedule);
     }
+
+    // The event loop's non-blocking lookup (`Engine::cached`) shares the
+    // same allocation-free hit path.
+    for round in 0..3 {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let warm = engine.cached(&scenario, Algorithm::TwoLevelPartial);
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        assert_eq!(
+            after - before,
+            0,
+            "cached lookup round {round} performed {} heap allocation(s)",
+            after - before
+        );
+        let warm = warm.expect("the cold solve finished");
+        assert_eq!(warm.expected_makespan.to_bits(), cold.expected_makespan.to_bits());
+    }
     let stats = engine.stats();
-    assert_eq!(stats.cache.hits, 3, "{stats:?}");
+    assert_eq!(stats.cache.hits, 6, "{stats:?}");
     assert_eq!(stats.cache.misses, 1, "{stats:?}");
 }

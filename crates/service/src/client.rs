@@ -194,6 +194,7 @@ fn invalid(message: String) -> io::Error {
 pub fn request_once(addr: &str, request: &Request) -> io::Result<Response> {
     failpoint::fail_io("client.connect")?;
     let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(DEFAULT_REQUEST_TIMEOUT))?;
     let mut writer = BufWriter::new(stream.try_clone()?);
     failpoint::fail_io("client.write")?;
@@ -343,6 +344,7 @@ fn run_attempt(
 
     failpoint::fail_io("client.connect").map_err(connect_err)?;
     let stream = TcpStream::connect(addr).map_err(connect_err)?;
+    // `Conn::new` also turns Nagle off for the pipelined request frames.
     let mut conn = Conn::new(stream).map_err(connect_err)?;
     let resend: Vec<usize> =
         outcomes.iter().enumerate().filter(|(_, o)| o.is_none()).map(|(i, _)| i).collect();

@@ -155,9 +155,13 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    /// Wraps `stream`, switching it to non-blocking mode.
+    /// Wraps `stream`, switching it to non-blocking mode with Nagle's
+    /// algorithm off: responses are small and already coalesced per loop
+    /// turn in the outbound buffer, so holding one back until the peer ACKs
+    /// the previous segment only adds a round trip of latency.
     pub(crate) fn new(stream: TcpStream) -> io::Result<Conn> {
         stream.set_nonblocking(true)?;
+        stream.set_nodelay(true)?;
         Ok(Conn {
             stream,
             decoder: FrameDecoder::new(),
@@ -178,9 +182,16 @@ impl Conn {
     }
 
     /// Completes the response for `seq`; consecutive completed responses are
-    /// released into the outbound buffer in sequence order.
+    /// released into the outbound buffer in sequence order.  The response
+    /// the window is waiting for goes straight to the buffer; only
+    /// out-of-order ones are copied into the reorder buffer.
     pub(crate) fn complete(&mut self, seq: u64, line: &str) {
-        self.held.insert(seq, line.to_string());
+        if seq != self.next_deliver {
+            self.held.insert(seq, line.to_string());
+            return;
+        }
+        self.push_line(line);
+        self.next_deliver += 1;
         while let Some(ready) = self.held.remove(&self.next_deliver) {
             self.out.extend_from_slice(ready.as_bytes());
             self.out.push(b'\n');
@@ -274,6 +285,64 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::net::TcpListener;
+
+    /// A `Conn` over one end of a loopback connection (the other end is
+    /// returned so it stays open).
+    fn loopback_conn() -> (Conn, TcpStream) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        (Conn::new(accepted).unwrap(), peer)
+    }
+
+    #[test]
+    fn new_connections_disable_nagle() {
+        let (conn, _peer) = loopback_conn();
+        assert!(conn.stream.nodelay().unwrap());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Responses completed in any order — in-order completions that take
+        /// the direct path interleaved with out-of-order ones that wait in
+        /// the reorder buffer — are released in sequence order, each as soon
+        /// as every earlier one has completed.
+        #[test]
+        fn mixed_in_order_and_out_of_order_completions_release_in_sequence(
+            count in 1usize..24,
+            keys in proptest::collection::vec(0u32..1000, 24),
+            in_order in proptest::collection::vec(0u8..2, 24),
+        ) {
+            let (mut conn, _peer) = loopback_conn();
+            // A shuffled completion order, then pull some sequence numbers
+            // forward to complete exactly when the window expects them.
+            let mut order: Vec<u64> = (0..count).map(|_| conn.accept_seq()).collect();
+            order.sort_by_key(|&seq| keys[seq as usize]);
+            let mut done = vec![false; count];
+            let mut expected = Vec::new();
+            let mut released = 0;
+            while !order.is_empty() {
+                let pos = order
+                    .iter()
+                    .position(|&seq| seq == conn.next_deliver && in_order[seq as usize] == 1)
+                    .unwrap_or(0);
+                let seq = order.remove(pos);
+                conn.complete(seq, &format!("response {seq}"));
+                done[seq as usize] = true;
+                while released < count && done[released] {
+                    expected.extend_from_slice(format!("response {released}\n").as_bytes());
+                    released += 1;
+                }
+                prop_assert_eq!(&conn.out, &expected);
+                prop_assert_eq!(conn.inflight(), (count - released) as u64);
+                prop_assert_eq!(conn.held.len(), done.iter().filter(|&&d| d).count() - released);
+            }
+            prop_assert_eq!(released, count);
+        }
+    }
 
     fn frames(decoder: &mut FrameDecoder) -> Vec<Result<String, FrameError>> {
         std::iter::from_fn(|| decoder.next_frame()).collect()

@@ -144,6 +144,7 @@ pub fn run(config: &LoadConfig) -> io::Result<LoadReport> {
     let mut conns: Vec<LoadConn> = Vec::with_capacity(config.connections);
     for index in 0..config.connections {
         let stream = TcpStream::connect(&config.addr)?;
+        // `Conn::new` also turns Nagle off for the pipelined request frames.
         let conn = Conn::new(stream)?;
         poll.register(&conn.stream, Token(index), Interest::READABLE)?;
         conns.push(LoadConn {

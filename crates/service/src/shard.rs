@@ -5,7 +5,8 @@
 //! A worker binds an ephemeral `127.0.0.1` port, announces it to the parent
 //! daemon with one [`protocol::encode_hello`] line on stdout, and then
 //! multiplexes every connection on a single [`mio_lite::Poll`] loop: frames
-//! are decoded as they arrive (partial frames tolerated), solve requests are
+//! are decoded as they arrive (partial frames tolerated), solves whose
+//! answer is already cached are answered on the loop, and the rest are
 //! dispatched to a small solver-thread pool sharing the process's [`Engine`]
 //! (whose own cache and retained DP tables are this shard's disjoint slice
 //! of the fingerprint space — the parent only routes a fingerprint here when
@@ -15,9 +16,11 @@
 //! worker's response stream is a deterministic function of its request
 //! stream regardless of solver-thread timing.
 //!
-//! Control frames (`ping` / `stats` / malformed input) are answered inline
-//! on the event loop; completed solves re-enter it through a
-//! `UnixStream::pair` waker.
+//! Control frames (`ping` / `stats` / malformed input), unresolvable specs
+//! and cache hits whose solve has finished ([`Engine::cached`]) are answered
+//! inline on the event loop; a solve that is absent or still in flight goes
+//! to the pool, so the loop never blocks on one, and re-enters the loop
+//! through a `UnixStream::pair` waker when done.
 //!
 //! Lifecycle: the worker exits when it receives a `shutdown` frame (sent by
 //! the parent during graceful shutdown, acknowledged and flushed first)
@@ -29,7 +32,8 @@
 use crate::frame::{Conn, FrameError};
 use crate::persist::Persister;
 use crate::protocol::{self, Request, Response, SolveResult};
-use chain2l_core::{Engine, EngineLimits};
+use chain2l_core::{Algorithm, Engine, EngineLimits, Solution};
+use chain2l_model::Scenario;
 use mio_lite::{Events, Interest, Poll, Token};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -65,21 +69,25 @@ pub fn respond(line: &str, engine: &Engine) -> Response {
         }
         Ok(Request::Solve { id, spec }) => match protocol::resolve_spec(&spec) {
             Err(message) => Response::Error { id, message },
-            Ok((scenario, algorithm)) => Response::Solve {
-                id,
-                result: SolveResult::from_solution(&engine.solve(&scenario, algorithm)),
-            },
+            Ok((scenario, algorithm)) => solved(id, &engine.solve(&scenario, algorithm)),
         },
     }
 }
 
-/// One solve handed to the pool; `gen` guards against a connection slot
-/// being reused while the solve was in flight.
+fn solved(id: u64, solution: &Solution) -> Response {
+    Response::Solve { id, result: SolveResult::from_solution(solution) }
+}
+
+/// One solve handed to the pool, already parsed and resolved by the event
+/// loop; `gen` guards against a connection slot being reused while the
+/// solve was in flight.
 struct Job {
     slot: usize,
     gen: u64,
     seq: u64,
-    line: String,
+    id: u64,
+    scenario: Scenario,
+    algorithm: Algorithm,
 }
 
 /// One finished solve travelling back to the event loop.
@@ -317,9 +325,10 @@ fn close_slot(poll: &mut Poll, slots: &mut [Option<ConnSlot>], index: usize) {
     }
 }
 
-/// Admits decoded frames while the window has room: solves go to the pool,
-/// everything else is answered inline (still through the sequence window, so
-/// interleaved control frames cannot reorder a connection's stream).
+/// Admits decoded frames while the window has room: solves that are not yet
+/// cached go to the pool, everything else — finished cache hits included —
+/// is answered inline (still through the sequence window, so inline answers
+/// cannot overtake earlier pooled solves on the connection's stream).
 fn pump(
     slot: &mut ConnSlot,
     index: usize,
@@ -339,17 +348,35 @@ fn pump(
                 slot.conn.complete(seq, &protocol::encode_response(&response));
             }
             Ok(line) => {
-                if matches!(protocol::parse_request(&line), Ok(Request::Solve { .. })) {
-                    let job = Job { slot: index, gen: slot.gen, seq, line };
-                    queue.jobs.lock().expect("jobs").push_back(job);
-                    queue.ready.notify_one();
-                } else {
-                    let response = respond(&line, engine);
-                    if matches!(response, Response::ShuttingDown { .. }) {
-                        *shutting_down = Some((index, slot.gen));
-                    }
-                    slot.conn.complete(seq, &protocol::encode_response(&response));
+                let response = match protocol::parse_request(&line) {
+                    Ok(Request::Solve { id, spec }) => match protocol::resolve_spec(&spec) {
+                        Err(message) => Response::Error { id, message },
+                        Ok((scenario, algorithm)) => {
+                            if let Some(solution) = engine.cached(&scenario, algorithm) {
+                                solved(id, &solution)
+                            } else {
+                                // Absent or still being solved: the pool
+                                // solves or waits, never the loop.
+                                let job = Job {
+                                    slot: index,
+                                    gen: slot.gen,
+                                    seq,
+                                    id,
+                                    scenario,
+                                    algorithm,
+                                };
+                                queue.jobs.lock().expect("jobs").push_back(job);
+                                queue.ready.notify_one();
+                                continue;
+                            }
+                        }
+                    },
+                    _ => respond(&line, engine),
+                };
+                if matches!(response, Response::ShuttingDown { .. }) {
+                    *shutting_down = Some((index, slot.gen));
                 }
+                slot.conn.complete(seq, &protocol::encode_response(&response));
             }
         }
     }
@@ -370,7 +397,8 @@ fn solver_loop(engine: &Engine, queue: &PoolQueue, done: &Mutex<Vec<Done>>, wake
                 jobs = queue.ready.wait(jobs).expect("jobs");
             }
         };
-        let line = protocol::encode_response(&respond(&job.line, engine));
+        let solution = engine.solve(&job.scenario, job.algorithm);
+        let line = protocol::encode_response(&solved(job.id, &solution));
         done.lock().expect("done").push(Done { slot: job.slot, gen: job.gen, seq: job.seq, line });
         // A full wake pipe is fine: the loop drains the queue on any byte.
         let mut tx = wake;

@@ -5,7 +5,7 @@
 //! takes the daemon down, and graceful shutdown reports per-shard
 //! statistics.
 
-use chain2l_core::Engine;
+use chain2l_core::{Engine, ScenarioFingerprint};
 use chain2l_service::protocol::{self, Request, SolveResult, SolveSpec};
 use chain2l_service::{client, ServeConfig, ServeSummary, Server};
 use std::io::{BufRead, BufReader, Write};
@@ -13,6 +13,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::process::Command;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 fn start_server_with_pids(shards: usize) -> (SocketAddr, Vec<u32>, JoinHandle<ServeSummary>) {
     let config = ServeConfig::new(
@@ -198,12 +199,36 @@ fn raw_batch(
     bytes
 }
 
+/// The shard that owns `spec` (the daemon routes by fingerprint digest).
+fn owner(spec: &SolveSpec, shards: u64) -> usize {
+    let (scenario, algorithm) = protocol::resolve_spec(spec).expect("valid spec");
+    (ScenarioFingerprint::stable_hash_of(&scenario, algorithm) % shards) as usize
+}
+
+/// Waits until the daemon has noticed a killed worker and respawned it.  A
+/// worker killed after its last response went out is only noticed on the
+/// parent's next loop turn; a `shutdown` processed before that turn would
+/// find the link gone during shutdown, where no respawn is made.
+fn await_respawn(addr: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while client::health(addr).expect("health").respawns == 0 {
+        assert!(Instant::now() < deadline, "the killed worker was never respawned");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn killing_a_shard_mid_stream_leaves_the_byte_stream_identical() {
     // A batch large enough that ~all of it is still inflight when the first
     // response arrives (the whole payload is pipelined up front and the
-    // default window is far larger than the batch).
-    let specs: Vec<SolveSpec> = request_set().into_iter().cycle().take(32).collect();
+    // default window is far larger than the batch).  Cache hits answer in
+    // microseconds, so right behind the first request sits a cold solve of
+    // tens of milliseconds, and its shard is the one killed: it is still
+    // solving when the first response arrives.
+    let mut specs: Vec<SolveSpec> = request_set().into_iter().cycle().take(32).collect();
+    let heavy = spec("hera", "uniform", 60, "admv");
+    let victim = owner(&heavy, 2);
+    specs.insert(1, heavy);
     let payload: String = specs
         .iter()
         .enumerate()
@@ -228,7 +253,8 @@ fn killing_a_shard_mid_stream_leaves_the_byte_stream_identical() {
     // solves + bit-exact float round-trips).
     let (addr, pids, handle) = start_server_with_pids(2);
     assert_eq!(pids.len(), 2);
-    let disturbed = raw_batch(&addr.to_string(), &payload, specs.len(), Some(pids[0]));
+    let disturbed = raw_batch(&addr.to_string(), &payload, specs.len(), Some(pids[victim]));
+    await_respawn(&addr.to_string());
     client::shutdown(&addr.to_string()).expect("shutdown");
     let summary = handle.join().expect("server thread");
     assert!(summary.respawns >= 1, "the killed worker must have been respawned");
@@ -238,6 +264,64 @@ fn killing_a_shard_mid_stream_leaves_the_byte_stream_identical() {
         "byte stream changed across a worker kill + respawn"
     );
     assert_eq!(disturbed, undisturbed);
+}
+
+/// Sums the `N hits, M misses` counters of every `shard …:` line of a
+/// `stats` detail.
+fn hits_and_misses(detail: &str) -> (u64, u64) {
+    let counter = |line: &str, label: &str| {
+        let before = line.split(label).next().unwrap_or("");
+        before.rsplit([' ', ',']).find(|t| !t.is_empty()).and_then(|t| t.parse::<u64>().ok())
+    };
+    detail.lines().filter(|line| line.starts_with("shard ")).fold((0, 0), |(h, m), line| {
+        let hits = counter(line, " hits").unwrap_or_else(|| panic!("no hits in {line}"));
+        let misses = counter(line, " misses").unwrap_or_else(|| panic!("no misses in {line}"));
+        (h + hits, m + misses)
+    })
+}
+
+#[test]
+fn inline_cache_hits_leave_the_byte_stream_identical_and_are_counted() {
+    // Each distinct spec repeats six times in one pipelined stream: the
+    // first occurrence misses and is solved on a pool thread, repeats
+    // arriving while it is in flight wait for it on the pool, and repeats
+    // arriving after it finished are answered on the shard's event loop.
+    // The second pass is all inline hits.
+    let specs: Vec<SolveSpec> = request_set().into_iter().cycle().take(48).collect();
+    let payload: String = specs
+        .iter()
+        .enumerate()
+        .map(|(id, spec)| {
+            format!(
+                "{}\n",
+                protocol::encode_request(&Request::Solve { id: id as u64, spec: spec.clone() })
+            )
+        })
+        .collect();
+    let (addr, handle) = start_server(2);
+    let addr = addr.to_string();
+    let cold = raw_batch(&addr, &payload, specs.len(), None);
+    let warm = raw_batch(&addr, &payload, specs.len(), None);
+    let (_, detail) = client::stats(&addr).expect("stats");
+    client::shutdown(&addr).expect("shutdown");
+    handle.join().expect("server thread");
+
+    assert_eq!(String::from_utf8_lossy(&warm), String::from_utf8_lossy(&cold));
+    let reference = local_reference(&specs);
+    let answers: Vec<_> = String::from_utf8(cold)
+        .expect("utf-8 responses")
+        .lines()
+        .map(|line| match protocol::parse_response(line).expect("valid response") {
+            protocol::Response::Solve { result, .. } => key(&result),
+            other => panic!("unexpected response {other:?}"),
+        })
+        .collect();
+    assert_eq!(answers, reference, "inline hits must answer like the in-process engine");
+    // Every solve is counted exactly once, inline or pooled; only the six
+    // distinct fingerprints miss.
+    let (hits, misses) = hits_and_misses(&detail);
+    assert_eq!(hits + misses, 2 * specs.len() as u64, "{detail}");
+    assert_eq!(misses, 6, "{detail}");
 }
 
 #[test]
@@ -293,6 +377,7 @@ fn restarted_daemon_serves_warm_from_snapshots_with_identical_bytes() {
     // the file from run 2's shutdown) and replay keeps the bytes identical.
     let (addr, pids, handle) = start_persistent_server(2, &state_dir);
     let disturbed = raw_batch(&addr.to_string(), &payload, specs.len(), Some(pids[0]));
+    await_respawn(&addr.to_string());
     client::shutdown(&addr.to_string()).expect("shutdown");
     let summary = handle.join().expect("server thread");
     assert!(summary.respawns >= 1, "the killed worker must have been respawned");
