@@ -15,17 +15,25 @@
 //! The free lists are **size-bucketed** LIFOs (one set for `f64`
 //! value/scratch buffers, one for `u32` argmin planes) behind mutexes, with
 //! relaxed counters for observability ([`ArenaStats`]).  Bucket `k` holds
-//! buffers whose capacity rounds up to `2^k`; a checkout for `len` tries
-//! its own capacity class first, then the next one up (whose buffers are
-//! always large enough), so a mixed workload never hands a tiny recycled
-//! buffer to a huge table (forcing an immediate regrow) or parks a huge
-//! buffer under a tiny request.  A checkout that finds both buckets empty
-//! falls back to a fresh allocation — so after a short warmup on a steady
-//! workload (same platforms, same chain sizes) the per-solve allocation
-//! count drops to zero, which `dp_report --wall` and the counting-allocator
-//! test in `tests/alloc_free.rs` make observable; per-bucket hit counters
-//! ([`ArenaStats::bucket_hits`]) show *which* size classes the reuse comes
-//! from.
+//! buffers whose capacity rounds up to `2^k`, i.e. lies in
+//! `(2^(k-1), 2^k]` — so a buffer of a request's own class may still be
+//! too small for it.  A checkout for `len` takes the most recently parked
+//! buffer of its own class whose capacity is at least `len`, else the top
+//! buffer of the class above (all of whose capacities exceed `2^k ≥ len`),
+//! else allocates fresh at exactly `len`.  That keeps one invariant:
+//! **a pooled checkout never reallocates** — a buffer leaves the pool with
+//! the capacity it was parked with.  Without it, an undersized buffer
+//! handed to a larger request of its class regrows into the class above,
+//! where requests of its old class never look, and a fresh allocation
+//! refills the hole: on mixed-size traffic parked memory then climbs until
+//! the byte cap stops it (DESIGN.md §7.2).  The two-class window also means
+//! a mixed workload never hands a tiny recycled buffer to a huge table or
+//! parks a huge buffer under a tiny request.  After a short warmup on a
+//! steady workload (same platforms, same chain sizes) the per-solve
+//! allocation count drops to zero, which `dp_report --wall` and the
+//! counting-allocator test in `tests/alloc_free.rs` make observable;
+//! per-bucket hit counters ([`ArenaStats::bucket_hits`]) show *which* size
+//! classes the reuse comes from.
 //!
 //! Ownership: [`crate::Engine`] and [`crate::IncrementalSolver`] each own
 //! one arena and thread `&TableArena` through the kernels; the plain
@@ -169,21 +177,20 @@ impl<T> Default for BucketedPool<T> {
 }
 
 impl<T> BucketedPool<T> {
-    /// Pops a recycled buffer for a `len`-element request: the request's
-    /// own capacity class first, then the class above (always big enough).
+    /// Pops a recycled buffer for a `len`-element request without ever
+    /// handing out one that would have to reallocate: the most recently
+    /// parked buffer of the request's own class whose capacity is at least
+    /// `len`, else the top of the class above (whose buffers always fit).
     /// Returns the buffer together with the bucket it came from.
     fn pop_for(&mut self, len: usize) -> Option<(Vec<T>, usize)> {
         let class = bucket_of(len);
-        for k in [class, class + 1] {
-            if k < ARENA_BUCKETS {
-                if let Some((_, buf)) = self.buckets[k].pop() {
-                    self.bytes =
-                        self.bytes.saturating_sub(buf.capacity() * std::mem::size_of::<T>());
-                    return Some((buf, k));
-                }
-            }
-        }
-        None
+        let own = &mut self.buckets[class];
+        let (buf, k) = match own.iter().rposition(|(_, buf)| buf.capacity() >= len) {
+            Some(i) => (own.remove(i).1, class),
+            None => (self.buckets.get_mut(class + 1)?.pop()?.1, class + 1),
+        };
+        self.bytes = self.bytes.saturating_sub(buf.capacity() * std::mem::size_of::<T>());
+        Some((buf, k))
     }
 
     /// Parks a buffer on its capacity class's free list, then drops the
@@ -245,14 +252,17 @@ impl TableArena {
         self.bucket_hits[k].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Checks out a `len`-element `f64` buffer with every cell set to
-    /// `fill`, reusing a pooled allocation of a fitting capacity class when
-    /// one is available.
-    pub fn take_f64(&self, len: usize, fill: f64) -> Vec<f64> {
+    /// Checks out a `len`-element buffer from `pool` with every cell set to
+    /// `fill`.  A pooled buffer always has the capacity already (see
+    /// [`BucketedPool::pop_for`]), so the re-fill never reallocates.
+    fn take<T: Clone>(&self, pool: &Mutex<BucketedPool<T>>, len: usize, fill: T) -> Vec<T> {
         self.checkouts.fetch_add(1, Ordering::Relaxed);
-        match self.f64_pool.lock().expect("arena pool poisoned").pop_for(len) {
+        // Bound first so the guard drops here: the re-fill runs unlocked.
+        let popped = pool.lock().expect("arena pool poisoned").pop_for(len);
+        match popped {
             Some((mut buf, k)) => {
                 self.record_hit(k);
+                debug_assert!(buf.capacity() >= len, "pooled checkout would reallocate");
                 buf.clear();
                 buf.resize(len, fill);
                 buf
@@ -261,51 +271,47 @@ impl TableArena {
         }
     }
 
-    /// Checks out a `len`-element `u32` buffer with every cell set to
-    /// `fill`, reusing a pooled allocation of a fitting capacity class when
-    /// one is available.
-    pub fn take_u32(&self, len: usize, fill: u32) -> Vec<u32> {
-        self.checkouts.fetch_add(1, Ordering::Relaxed);
-        match self.u32_pool.lock().expect("arena pool poisoned").pop_for(len) {
-            Some((mut buf, k)) => {
-                self.record_hit(k);
-                buf.clear();
-                buf.resize(len, fill);
-                buf
-            }
-            None => vec![fill; len],
-        }
-    }
-
-    /// Returns an `f64` buffer to its capacity class's free list
-    /// (zero-capacity buffers are dropped — there is no allocation to
-    /// recycle).  If the return pushes the pool past its byte budget, the
-    /// oldest parked buffers are dropped until it fits.
-    pub fn give_f64(&self, buf: Vec<f64>) {
+    /// Parks `buf` on `pool` (zero-capacity buffers are dropped — there is
+    /// no allocation to recycle), trimming the oldest parked buffers when
+    /// the pool's byte budget overflows.
+    fn give<T>(&self, pool: &Mutex<BucketedPool<T>>, buf: Vec<T>) {
         if buf.capacity() == 0 {
             return;
         }
         self.returns.fetch_add(1, Ordering::Relaxed);
-        let trimmed =
-            self.f64_pool.lock().expect("arena pool poisoned").push(buf, self.per_pool_cap);
+        let trimmed = pool.lock().expect("arena pool poisoned").push(buf, self.per_pool_cap);
         if trimmed > 0 {
             self.trimmed.fetch_add(trimmed, Ordering::Relaxed);
         }
+    }
+
+    /// Checks out a `len`-element `f64` buffer with every cell set to
+    /// `fill`, reusing a pooled allocation that already fits when one is
+    /// available.
+    pub fn take_f64(&self, len: usize, fill: f64) -> Vec<f64> {
+        self.take(&self.f64_pool, len, fill)
+    }
+
+    /// Checks out a `len`-element `u32` buffer with every cell set to
+    /// `fill`, reusing a pooled allocation that already fits when one is
+    /// available.
+    pub fn take_u32(&self, len: usize, fill: u32) -> Vec<u32> {
+        self.take(&self.u32_pool, len, fill)
+    }
+
+    /// Returns an `f64` buffer to its capacity class's free list
+    /// (zero-capacity buffers are dropped).  If the return pushes the pool
+    /// past its byte budget, the oldest parked buffers are dropped until it
+    /// fits.
+    pub fn give_f64(&self, buf: Vec<f64>) {
+        self.give(&self.f64_pool, buf);
     }
 
     /// Returns a `u32` buffer to its capacity class's free list
     /// (zero-capacity buffers are dropped), trimming the oldest parked
     /// buffers when the pool's byte budget overflows.
     pub fn give_u32(&self, buf: Vec<u32>) {
-        if buf.capacity() == 0 {
-            return;
-        }
-        self.returns.fetch_add(1, Ordering::Relaxed);
-        let trimmed =
-            self.u32_pool.lock().expect("arena pool poisoned").push(buf, self.per_pool_cap);
-        if trimmed > 0 {
-            self.trimmed.fetch_add(trimmed, Ordering::Relaxed);
-        }
+        self.give(&self.u32_pool, buf);
     }
 
     /// Checkout/return counters accumulated since construction.
@@ -380,6 +386,64 @@ mod tests {
         assert_eq!((stats.bucket_hits[3], stats.bucket_hits[12]), (1, 1));
         // The class-3 buffer is still pooled; a class-2..3 request finds it.
         assert_eq!(arena.pooled(), 1);
+    }
+
+    #[test]
+    fn undersized_buffer_of_the_own_class_is_not_handed_out() {
+        // 1064 and 1216 share class 11 (1025..=2048), but a 1064-cap buffer
+        // cannot hold 1216 cells: handing it out would regrow it into class
+        // 12 and leave class 11 to be refilled by a fresh allocation.
+        let arena = TableArena::new();
+        arena.give_f64(Vec::with_capacity(1064));
+        let big = arena.take_f64(1216, 0.0);
+        assert_eq!(arena.stats().pool_hits, 0, "an undersized buffer was handed out");
+        assert_eq!(big.capacity(), 1216, "fresh checkouts allocate exactly len");
+        assert_eq!(arena.pooled(), 1);
+        // A request the parked buffer does fit still gets it, unchanged.
+        let small = arena.take_f64(1040, 0.0);
+        assert_eq!(small.capacity(), 1064);
+        let stats = arena.stats();
+        assert_eq!((stats.pool_hits, stats.bucket_hits[11]), (1, 1));
+        assert_eq!(arena.pooled(), 0);
+    }
+
+    #[test]
+    fn pooled_checkouts_never_change_a_buffers_capacity() {
+        // Mixed lengths within class 11, two buffers out at a time: every
+        // pool hit must come back with a capacity the pool was given, and
+        // after the first cycle the parked set stops growing.
+        let arena = TableArena::new();
+        let lens = [1064usize, 1216, 1406, 1140];
+        let mut parked_caps = Vec::new();
+        let mut parked_bytes = Vec::new();
+        for _cycle in 0..4 {
+            for i in 0..lens.len() {
+                let mut out = Vec::new();
+                for len in [lens[i], lens[(i + 1) % lens.len()]] {
+                    let hits = arena.stats().pool_hits;
+                    let buf = arena.take_f64(len, 0.5);
+                    assert_eq!(buf.len(), len);
+                    if arena.stats().pool_hits > hits {
+                        assert!(
+                            parked_caps.contains(&buf.capacity()),
+                            "checkout for {len} regrew a pooled buffer to {}",
+                            buf.capacity()
+                        );
+                    }
+                    out.push(buf);
+                }
+                for buf in out {
+                    parked_caps.push(buf.capacity());
+                    arena.give_f64(buf);
+                }
+            }
+            parked_bytes.push(arena.stats().pooled_bytes);
+        }
+        assert!(
+            parked_bytes.windows(2).all(|w| w[0] == w[1]),
+            "parked bytes kept growing: {parked_bytes:?}"
+        );
+        assert_eq!(arena.stats().trimmed, 0);
     }
 
     #[test]
